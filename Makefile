@@ -4,7 +4,7 @@ PYTHON ?= python
 # pass the shell's ${PYTHONPATH:+:$PYTHONPATH} through literally)
 PP = PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH}
 
-.PHONY: test stress bench bench-all bench-smoke bench-tiers bench-background bench-spec bench-analysis bench-lowering bench-obs bench-serve bench-scalarize trace-smoke serve-smoke
+.PHONY: test stress bench bench-all bench-smoke bench-tiers bench-background bench-spec bench-analysis bench-lowering bench-obs bench-serve bench-scalarize trace-smoke serve-smoke perfbench-smoke
 
 test:
 	$(PP) $(PYTHON) -m pytest -x -q
@@ -16,6 +16,12 @@ stress:
 		tests/vm/test_background.py
 	$(PP) PYTHONFAULTHANDLER=1 $(PYTHON) -m pytest -x -q \
 		tests/properties/test_tier_differential.py -k "Threaded"
+
+# the benchmark as a correctness gate: every workload once, 5 s each,
+# untraced; exits 1 on any wrong result, refused request or unengaged
+# layer (about a minute on 2 vCPUs)
+perfbench-smoke:
+	$(PYTHON) perfbench/run.py --workload all --seed 1 --seconds 5 --trace 0
 
 # single-trial, tiny workloads — seconds, suitable for CI
 bench-smoke:

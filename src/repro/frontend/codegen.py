@@ -1,9 +1,20 @@
 """Code generation: mini-C AST → repro IR.
 
-Generates clang -O0-style code: every local lives in an entry-block
-alloca, expressions load/store through it.  The paper's "unoptimized"
-configuration then runs mem2reg only; the "optimized" configuration runs
-the -O1-like pipeline (see :mod:`repro.transform.passmanager`).
+Generates clang -O0-style code: every parameter and scalar local lives
+in an alloca at the top of the entry block, wherever it is declared, and
+expressions load/store through it.  Like clang's ``AllocaInsertPt``, one
+insertion point collects these allocas, so mem2reg (which, like LLVM's,
+only promotes entry-block allocas) lifts loop-body scalars too.  The
+declaration site keeps the initialization: the initializer's store, or a
+zero store of the variable's type (``0``, ``0.0`` or null) when there is
+none, so a variable declared in a loop body starts at zero on every pass,
+as a fresh alloca would; mem2reg folds the store away.  Arrays are the
+exception: their alloca stays at the declaration, where re-executing it
+re-zeroes the whole array, and they are never promotion candidates.
+
+The paper's "unoptimized" configuration then runs mem2reg only; the
+"optimized" configuration runs the -O1-like pipeline (see
+:mod:`repro.transform.passmanager`).
 """
 
 from __future__ import annotations
@@ -13,6 +24,7 @@ from typing import Dict, List, Optional, Tuple
 from ..ir import types as T
 from ..ir.builder import IRBuilder
 from ..ir.function import BasicBlock, Function, Module
+from ..ir.instructions import StoreInst
 from ..ir.types import FunctionType
 from ..ir.values import (
     ConstantFloat,
@@ -69,6 +81,17 @@ _BASE_TYPES = {
 _RANK = {"char": 0, "int": 1, "long": 2, "unsigned": 2}
 
 
+def zero_value(ty: T.Type) -> Value:
+    """The zero constant of a scalar IR type: ``0``, ``0.0`` or null."""
+    if isinstance(ty, T.IntType):
+        return ConstantInt(ty, 0)
+    if isinstance(ty, T.FloatType):
+        return ConstantFloat(ty, 0.0)
+    if isinstance(ty, T.PointerType):
+        return ConstantNull(ty)
+    raise TypeError(f"no zero value for {ty}")
+
+
 def lower_type(ctype: C.CType) -> T.Type:
     base = _BASE_TYPES[ctype.base]
     if ctype.pointers:
@@ -100,6 +123,8 @@ class CodeGenerator:
         self._string_counter = 0
         # per-function state
         self.builder = IRBuilder()
+        #: inserts at the end of the entry block's leading alloca run
+        self._allocas = IRBuilder()
         self._locals_stack: List[Dict[str, _LocalVar]] = []
         self._function: Optional[Function] = None
         self._return_ctype: Optional[C.CType] = None
@@ -140,14 +165,10 @@ class CodeGenerator:
 
     def _constant_init(self, ctype: C.CType, init, line: int):
         if init is None:
-            ty = lower_type(ctype)
-            if isinstance(ty, T.IntType):
-                return ConstantInt(ty, 0)
-            if isinstance(ty, T.FloatType):
-                return ConstantFloat(ty, 0.0)
-            if isinstance(ty, T.PointerType):
-                return ConstantNull(ty)
-            raise CodegenError(f"cannot zero-init {ctype}", line)
+            try:
+                return zero_value(lower_type(ctype))
+            except TypeError:
+                raise CodegenError(f"cannot zero-init {ctype}", line) from None
         if isinstance(init, C.IntLit):
             ty = lower_type(ctype)
             if isinstance(ty, T.FloatType):
@@ -191,9 +212,10 @@ class CodeGenerator:
         self._locals_stack = [{}]
         entry = BasicBlock("entry", func)
         self.builder.position_at_end(entry)
+        self._allocas.position_at_start(entry)
         # spill parameters into allocas (clang -O0 style)
         for param, arg in zip(fd.params, func.args):
-            slot = self.builder.alloca(arg.type, f"{arg.name}.addr")
+            slot = self._allocas.alloca(arg.type, f"{arg.name}.addr")
             self.builder.store(arg, slot)
             self._locals_stack[0][param.name] = _LocalVar(param.type, slot)
         self._gen_block(fd.body)
@@ -202,13 +224,7 @@ class CodeGenerator:
             if fd.return_type.is_void:
                 self.builder.ret_void()
             else:
-                ty = lower_type(fd.return_type)
-                if isinstance(ty, T.FloatType):
-                    self.builder.ret(ConstantFloat(ty, 0.0))
-                elif isinstance(ty, T.PointerType):
-                    self.builder.ret(ConstantNull(ty))
-                else:
-                    self.builder.ret(ConstantInt(ty, 0))
+                self.builder.ret(zero_value(lower_type(fd.return_type)))
         # drop blocks that ended up unreachable and unterminated (e.g. code
         # after return inside a loop)
         for block in func.blocks:
@@ -290,12 +306,20 @@ class CodeGenerator:
                                    decl.line)
             return
         ty = lower_type(decl.type)
-        slot = self.builder.alloca(ty, decl.name)
+        slot = self._allocas.alloca(ty, decl.name)
         self._locals_stack[-1][decl.name] = _LocalVar(decl.type, slot)
-        if decl.init is not None:
-            value, vtype = self._gen_expr(decl.init)
-            value = self._convert(value, vtype, decl.type, decl.line)
-            self.builder.store(value, slot)
+        if decl.init is None:
+            self.builder.store(zero_value(ty), slot)
+            return
+        block = self.builder.block
+        index = len(block.instructions)
+        value, vtype = self._gen_expr(decl.init)
+        if slot.is_used():
+            # the initializer reads the variable it declares: it must see
+            # zero, not the value a previous pass through this code left
+            block.insert(index, StoreInst(zero_value(ty), slot))
+        value = self._convert(value, vtype, decl.type, decl.line)
+        self.builder.store(value, slot)
 
     def _gen_if(self, stmt: C.If) -> None:
         cond = self._gen_condition(stmt.cond)

@@ -2,10 +2,10 @@
 
 The classic SSA-construction pass: for each promotable alloca (address
 never escapes; only whole-value loads and stores), place phi nodes at the
-dominance frontier of the store blocks (pruned SSA via liveness would be an
-optimization; we place minimal phis per Cytron et al. and let DCE clean
-up), then rewrite loads with reaching definitions along a dominator-tree
-walk.
+dominance frontier of the store blocks (minimal phis per Cytron et al.),
+rewrite loads with reaching definitions along a dominator-tree walk, then
+erase the phis nothing reads, including webs of phis that feed only each
+other — the result pruned SSA via liveness would have placed.
 
 This is the pass the paper's "unoptimized" configuration runs — the only
 optimization applied before OSR instrumentation in the Q1/Q2 experiments.
@@ -138,12 +138,24 @@ def promote_memory_to_registers(func: Function, only=None, am=None) -> int:
 
 
 def _prune_dead_phis(func: Function) -> None:
-    changed = True
-    while changed:
-        changed = False
-        for block in func.blocks:
-            for phi in block.phis:
-                users = [u for u in phi.users if u is not phi]
-                if not users:
-                    phi.erase_from_parent()
-                    changed = True
+    """Erase every phi that no other instruction reads, not even through
+    other phis.
+
+    Over-placement leaves dead webs as well as single dead phis: a local
+    that every loop pass writes before reading gets phis at the inner and
+    the outer loop header that feed only each other, and left in place
+    they would be live state at every OSR site on those headers."""
+    phis = [phi for block in func.blocks for phi in block.phis]
+    live: Set[PhiInst] = set()
+    worklist = [phi for phi in phis
+                if any(not isinstance(user, PhiInst) for user in phi.users)]
+    while worklist:
+        phi = worklist.pop()
+        if phi in live:
+            continue
+        live.add(phi)
+        worklist.extend(value for value, _ in phi.incoming
+                        if isinstance(value, PhiInst))
+    for phi in phis:
+        if phi not in live:
+            phi.erase_from_parent()

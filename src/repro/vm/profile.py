@@ -43,25 +43,35 @@ class ValueFeedback:
     drives the speculation pass.  Non-scalar values (pointers, handles)
     are counted toward the total but never dominate, so speculation only
     ever folds immediates.
+
+    Counts only grow by one, so a running leader that :meth:`record`
+    replaces whenever a value overtakes it is always a most frequent
+    value, and :meth:`dominant` answers in O(1) however many distinct
+    values were seen.  On a tie the earlier leader stays.
     """
 
-    __slots__ = ("counts", "total")
+    __slots__ = ("counts", "total", "leader", "leader_count")
 
     def __init__(self) -> None:
         self.counts: Dict[object, int] = {}
         self.total = 0
+        self.leader: object = None
+        self.leader_count = 0
 
     def record(self, value: object) -> None:
         self.total += 1
         if type(value) in (int, float):
-            self.counts[value] = self.counts.get(value, 0) + 1
+            count = self.counts.get(value, 0) + 1
+            self.counts[value] = count
+            if count > self.leader_count:
+                self.leader = value
+                self.leader_count = count
 
     def dominant(self) -> Optional[Tuple[object, int]]:
         """The most frequent scalar value and its count, or None."""
-        if not self.counts:
+        if not self.leader_count:
             return None
-        value = max(self.counts, key=lambda v: self.counts[v])
-        return value, self.counts[value]
+        return self.leader, self.leader_count
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<ValueFeedback total={self.total} {self.counts!r}>"

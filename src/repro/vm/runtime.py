@@ -271,7 +271,11 @@ class HandleHeap:
         self._table = [None]
 
 
-#: process-wide handle heap (reset per ExecutionEngine)
+#: process-wide handle heap, shared by every engine.  Nothing calls
+#: reset(): every pointer store appends an entry that keeps the stored
+#: object alive, so the heap grows with every pointer store for the life
+#: of the process (this is why b-trees' node buffers outlive their engine
+#: and the resident set grows with every b-trees job)
 HANDLE_HEAP = HandleHeap()
 
 

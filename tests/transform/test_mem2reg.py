@@ -70,6 +70,49 @@ out:
 }
 """
 
+#: %t is written before it is read on every pass of the inner loop, so
+#: its phis at both loop headers would only feed each other
+NESTED_SCRATCH = """
+define i64 @f(i64 %n) {
+entry:
+  %acc = alloca i64
+  %i = alloca i64
+  %j = alloca i64
+  %t = alloca i64
+  store i64 0, i64* %acc
+  store i64 0, i64* %i
+  br label %outer
+outer:
+  %iv = load i64, i64* %i
+  %c = icmp slt i64 %iv, %n
+  br i1 %c, label %outer.body, label %out
+outer.body:
+  store i64 0, i64* %j
+  br label %inner
+inner:
+  %jv = load i64, i64* %j
+  %d = icmp slt i64 %jv, %n
+  br i1 %d, label %inner.body, label %outer.step
+inner.body:
+  %p = mul i64 %iv, %jv
+  store i64 %p, i64* %t
+  %tv = load i64, i64* %t
+  %a = load i64, i64* %acc
+  %a2 = add i64 %a, %tv
+  store i64 %a2, i64* %acc
+  %j2 = add i64 %jv, 1
+  store i64 %j2, i64* %j
+  br label %inner
+outer.step:
+  %i2 = add i64 %iv, 1
+  store i64 %i2, i64* %i
+  br label %outer
+out:
+  %r = load i64, i64* %acc
+  ret i64 %r
+}
+"""
+
 
 class TestPromotion:
     def test_straight_line(self):
@@ -116,6 +159,16 @@ class TestPromotion:
         head = func.get_block("head")
         assert len(head.phis) == 2
         assert allocas_of(func) == []
+
+    def test_dead_phi_web_pruned(self):
+        module = parse_module(NESTED_SCRATCH)
+        func = module.get_function("f")
+        promote_memory_to_registers(func)
+        verify_function(func)
+        phis = {phi.name for block in func.blocks for phi in block.phis}
+        assert not any(name.startswith("t.") for name in phis), phis
+        assert ExecutionEngine(module).run("f", 4) == sum(
+            i * j for i in range(4) for j in range(4))
 
     def test_loop_semantics(self):
         module = parse_module(LOOP)
