@@ -44,8 +44,8 @@ bench-spec:
 bench-analysis:
 	$(PP) $(PYTHON) -m benchmarks analysis --json BENCH_analysis.json
 
-# lowering pipeline: AST-direct codegen latency, decoded-tier
-# superinstruction fusion, OSR intrusiveness (Figure 8 analogue)
+# lowering pipeline: AST-direct codegen latency and OSR
+# intrusiveness (Figure 8 analogue)
 bench-lowering:
 	$(PP) $(PYTHON) -m benchmarks lowering --json BENCH_lowering.json
 

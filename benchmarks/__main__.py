@@ -12,9 +12,8 @@ materialization — implied by ``tiers``), ``background`` (non-blocking
 vs synchronous tier-up from ``bench_background.py``), ``spec`` (guarded
 speculation speedup and deopt cost from ``bench_spec_deopt.py``) and
 ``analysis`` (cached vs recompute-always analyses from
-``bench_analysis.py``), ``lowering`` (AST-direct codegen latency,
-decoded-tier superinstruction fusion and OSR intrusiveness from
-``bench_lowering.py``), ``obs`` (always-on telemetry overhead and the
+``bench_analysis.py``), ``lowering`` (AST-direct codegen latency and
+OSR intrusiveness from ``bench_lowering.py``), ``obs`` (always-on telemetry overhead and the
 dispatch/compile latency percentiles from ``bench_obs.py``), ``serve``
 (persistent-cache warm starts and the multi-tenant VM server from
 ``bench_serve.py``) and ``q1``–``q4`` (the paper's evaluation drivers
@@ -51,10 +50,8 @@ from .bench_spec_deopt import (
 )
 from .bench_lowering import (
     format_codegen,
-    format_fusion,
     format_intrusiveness,
     run_codegen,
-    run_fusion,
     run_intrusiveness,
 )
 from .bench_obs import format_obs, run_obs
@@ -165,15 +162,12 @@ def _run_targets(args, targets, results, banner, telemetry) -> None:
             rows = run_analysis(trials=args.trials, smoke=args.smoke)
             print(format_analysis(rows))
         elif target == "lowering":
-            print("Lowering — codegen latency, fusion and OSR intrusiveness")
+            print("Lowering — codegen latency and OSR intrusiveness")
             print(banner)
             codegen_rows = run_codegen(trials=args.trials, smoke=args.smoke)
             print(format_codegen(codegen_rows))
-            fusion_rows = run_fusion(trials=args.trials, smoke=args.smoke)
-            print(format_fusion(fusion_rows))
             intr_rows = run_intrusiveness()
             print(format_intrusiveness(intr_rows))
-            results["fusion"] = _rows_to_json(fusion_rows)
             results["intrusiveness"] = _rows_to_json(intr_rows)
             rows = codegen_rows
         elif target == "obs":

@@ -205,8 +205,8 @@ def run_cache(trials: int = 3, smoke: bool = False) -> List[CacheRow]:
             warm_engine.run(entry, *args)
 
             assert codegen_function(func).matches(func)
-            hits += warm_engine.jit_cache_hits
-            misses += cold_engine.jit_cache_misses
+            hits += warm_engine.metrics.counter("jit.cache_hit")
+            misses += cold_engine.metrics.counter("jit.cache_miss")
             if cold_best is None or cold < cold_best:
                 cold_best = cold
             if warm_best is None or warm < warm_best:

@@ -248,7 +248,8 @@ class TinyVM:
         return f"{count} function(s) verified OK"
 
     def cmd_stats(self, args: List[str]) -> str:
-        lines = [f"functions compiled: {self.engine.compile_count}"]
+        compiled = self.engine.metrics.counter("engine.compile")
+        lines = [f"functions compiled: {compiled}"]
         for name, count in sorted(self.engine.call_counts.items()):
             lines.append(f"  calls via engine @{name}: {count}")
         return "\n".join(lines)

@@ -183,8 +183,7 @@ class ExecutionEngine:
                  backedge_threshold: int = DEFAULT_BACKEDGE_THRESHOLD,
                  telemetry=None, analysis_manager=None,
                  compile_queue: Optional[CompileQueue] = None,
-                 decode_fusion: bool = True, flight: bool = False,
-                 disk_cache=None):
+                 flight: bool = False, disk_cache=None):
         if tier not in TIERS:
             raise ValueError(f"unknown tier {tier!r}")
         self.module = module
@@ -198,9 +197,6 @@ class ExecutionEngine:
 
             disk_cache = DiskCodeCache(disk_cache)
         self.disk_cache = disk_cache
-        #: superinstruction fusion in the decoded tier (``fuse=`` for
-        #: :func:`decode_function`); off only for A/B comparison runs
-        self.decode_fusion = decode_fusion
         #: serializes the mutating slow paths (compile/install/invalidate
         #: /publication); reentrant because instantiation re-enters the
         #: engine's resolution APIs.  Created before the object table,
@@ -264,49 +260,6 @@ class ExecutionEngine:
         #: name -> dependent Functions), e.g. guarded specializations
         self._invalidation_deps: Dict[str, List[Function]] = {}
         self._install_default_natives()
-
-    # -- counter back-compat (now backed by the metrics registry) ---------------
-
-    @property
-    def compile_count(self) -> int:
-        """Number of functions compiled (Q3-style accounting)."""
-        return self.metrics.counter("engine.compile")
-
-    @compile_count.setter
-    def compile_count(self, value: int) -> None:
-        self.metrics.set_counter("engine.compile", value)
-
-    @property
-    def jit_cache_hits(self) -> int:
-        return self.metrics.counter(EV.JIT_CACHE_HIT)
-
-    @jit_cache_hits.setter
-    def jit_cache_hits(self, value: int) -> None:
-        self.metrics.set_counter(EV.JIT_CACHE_HIT, value)
-
-    @property
-    def jit_cache_misses(self) -> int:
-        return self.metrics.counter(EV.JIT_CACHE_MISS)
-
-    @jit_cache_misses.setter
-    def jit_cache_misses(self, value: int) -> None:
-        self.metrics.set_counter(EV.JIT_CACHE_MISS, value)
-
-    @property
-    def tier_promotions(self) -> int:
-        return self.metrics.counter(EV.TIER_PROMOTE)
-
-    @tier_promotions.setter
-    def tier_promotions(self, value: int) -> None:
-        self.metrics.set_counter(EV.TIER_PROMOTE, value)
-
-    @property
-    def decode_fallbacks(self) -> int:
-        return self.metrics.counter(EV.DECODE_BAILOUT)
-
-    @decode_fallbacks.setter
-    def decode_fallbacks(self, value: int) -> None:
-        self.metrics.set_counter(EV.DECODE_BAILOUT, value)
 
     # -- natives -----------------------------------------------------------------
 
@@ -496,7 +449,7 @@ class ExecutionEngine:
         """Thunk running ``func`` in the pre-decoded interpreter.
 
         Functions the decoder cannot lower fall back to the tree-walker
-        (counted in ``decode_fallbacks``).  Like the JIT tier, the
+        (counted in the ``decode.bailout`` counter).  Like the JIT tier, the
         decoded form is a snapshot of the current body: rewrite the IR
         and call :meth:`invalidate` to re-decode.  The per-engine
         ``_decoded`` cache is consulted first (version-checked), so the
@@ -512,8 +465,7 @@ class ExecutionEngine:
         if (decoded is None or decoded.func is not func
                 or decoded.version != func.code_version):
             try:
-                decoded = decode_function(func, self,
-                                          fuse=self.decode_fusion)
+                decoded = decode_function(func, self)
             except DecodeError as error:
                 # drop any stale cached decode so nothing can revive it
                 self._decoded.pop(func.name, None)

@@ -84,7 +84,6 @@ class TestEngineStreams:
         )
         assert promote_instants == 1
         assert tel.metrics.counter(events.TIER_PROMOTE) == 1
-        assert engine.tier_promotions == 1  # back-compat property, same cell
 
     def test_resolved_osr_stream(self):
         tel = Telemetry()
@@ -139,7 +138,7 @@ class TestEngineStreams:
     def test_decode_bailout_records_reason(self, monkeypatch):
         from repro.vm import engine as engine_mod
 
-        def boom(func, engine, fuse=True):
+        def boom(func, engine):
             raise DecodeError("synthetic bailout")
 
         monkeypatch.setattr(engine_mod, "decode_function", boom)
@@ -151,7 +150,7 @@ class TestEngineStreams:
                     if e["name"] == events.DECODE_BAILOUT]
         assert len(bailouts) == 1
         assert "synthetic bailout" in bailouts[0]["args"]["reason"]
-        assert engine.decode_fallbacks == 1
+        assert engine.metrics.counter(events.DECODE_BAILOUT) == 1
 
     def test_chrome_export_of_a_real_run(self):
         tel = Telemetry()
@@ -249,7 +248,7 @@ class TestInvalidateDemotes:
         assert profile.backedges == 0
         # one call after the rewrite must NOT re-promote (3 needed)
         assert engine.run("sumto", 5) == 15
-        assert engine.tier_promotions == 1
+        assert engine.metrics.counter(events.TIER_PROMOTE) == 1
 
     def test_invalidate_emits_demote_event_only_when_promoted(self):
         tel = Telemetry()
@@ -260,7 +259,7 @@ class TestInvalidateDemotes:
         assert tel.metrics.counter(events.TIER_DEMOTE) == 0
         for _ in range(3):
             engine.run("sumto", 5)
-        assert engine.tier_promotions == 1
+        assert engine.metrics.counter(events.TIER_PROMOTE) == 1
         engine.invalidate(func)
         assert tel.metrics.counter(events.TIER_DEMOTE) == 1
         assert tel.metrics.counter(events.ENGINE_INVALIDATE) == 2
@@ -282,13 +281,6 @@ class TestStatsSurface:
         assert snapshot["counters"]["engine.compile"] >= 1
         assert snapshot["profiles"]["sumto"]["promoted"]
 
-    def test_counter_setters_back_compat(self):
-        engine, _ = _tiered()
-        engine.jit_cache_hits = 7
-        assert engine.metrics.counter(events.JIT_CACHE_HIT) == 7
-        engine.compile_count = 3
-        assert engine.compile_count == 3
-
 
 class TestNoopFastPath:
     def test_disabled_run_emits_nothing_but_still_counts(self):
@@ -297,7 +289,7 @@ class TestNoopFastPath:
         for _ in range(3):
             engine.run("sumto", 5)
         # counters still live (cheap dict increments)...
-        assert engine.tier_promotions == 1
+        assert engine.metrics.counter(events.TIER_PROMOTE) == 1
         # ...and the disabled telemetry recorded nothing
         assert NULL_TELEMETRY.enabled is False
 

@@ -146,7 +146,7 @@ def test_promoted_code_is_shared_across_tenants(tmp_path):
         tenants = server.engine.profiler.tenant_snapshot()
         assert tenants["alpha"]["double"]["promoted"]
         assert server.call("double", [5], tenant="beta", timeout=10) == 10
-        assert server.engine.compile_count == 1
+        assert server.engine.metrics.counter("engine.compile") == 1
     finally:
         server.shutdown()
 

@@ -58,10 +58,8 @@ def test_cli_smoke(tmp_path, capsys):
 def test_lowering_smoke_rows():
     from benchmarks.bench_lowering import (
         format_codegen,
-        format_fusion,
         format_intrusiveness,
         run_codegen,
-        run_fusion,
         run_intrusiveness,
     )
 
@@ -75,17 +73,6 @@ def test_lowering_smoke_rows():
         assert row.ast_compile_s < row.text_compile_s, row
     json.dumps([row._asdict() for row in codegen_rows], default=str)
     assert "ast-direct" in format_codegen(codegen_rows)
-
-    fusion_rows = run_fusion(smoke=True)
-    assert fusion_rows
-    for row in fusion_rows:
-        assert row.fused_s > 0
-        assert row.unfused_s > 0
-        # the decoder actually fused something on a branchy workload
-        assert row.cmp_br > 0, row
-        assert row.op_chain > 0, row
-    json.dumps([row._asdict() for row in fusion_rows], default=str)
-    assert "fused" in format_fusion(fusion_rows)
 
     intr_rows = run_intrusiveness()
     for row in intr_rows:
@@ -101,7 +88,6 @@ def test_lowering_cli_smoke(tmp_path):
     assert main(["lowering", "--smoke", "--json", str(out)]) == 0
     data = json.loads(out.read_text())
     assert data["lowering"], "codegen rows missing from JSON"
-    assert data["fusion"], "fusion rows missing from JSON"
     assert data["intrusiveness"], "intrusiveness rows missing from JSON"
 
 

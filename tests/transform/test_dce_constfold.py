@@ -12,7 +12,12 @@ from repro.transform.constfold import (
     fold_icmp,
     fold_int_binop,
 )
-from repro.transform.dce import eliminate_dead_blocks, eliminate_dead_code
+from repro.shootout import SUITE, compile_benchmark
+from repro.transform.dce import (
+    aggressive_dce,
+    eliminate_dead_blocks,
+    eliminate_dead_code,
+)
 from repro.vm import ExecutionEngine
 
 
@@ -84,6 +89,19 @@ island2:
 """)
         assert eliminate_dead_blocks(func) == 2
         verify_function(func)
+
+    @pytest.mark.parametrize("name", sorted(SUITE))
+    def test_optimized_pipeline_leaves_no_dead_phi_web(self, name):
+        # the pipeline's worklist DCE cannot erase a self-sustaining phi
+        # web; ADCE can.  A web a pass leaves behind would be carried as
+        # live OSR state at every loop header, so the whole pipeline
+        # must leave ADCE nothing to remove
+        module = compile_benchmark(SUITE[name], "optimized")
+        leftovers = {
+            func.name: aggressive_dce(func)
+            for func in module.functions if not func.is_declaration
+        }
+        assert {f: n for f, n in leftovers.items() if n} == {}
 
 
 class TestFoldPrimitives:

@@ -4,6 +4,7 @@ code cache, and profile-driven tier-up."""
 import pytest
 
 from repro.ir import parse_module
+from repro.obs import events
 from repro.vm import (
     DecodeError,
     DecodedFunction,
@@ -87,13 +88,13 @@ class TestCodeCache:
 
         cold = ExecutionEngine(module, tier="jit")
         assert cold.run("sumto", 5) == 15
-        assert cold.jit_cache_misses == 1
-        assert cold.jit_cache_hits == 0
+        assert cold.metrics.counter(events.JIT_CACHE_MISS) == 1
+        assert cold.metrics.counter(events.JIT_CACHE_HIT) == 0
 
         warm = ExecutionEngine(module, tier="jit")
         assert warm.run("sumto", 5) == 15
-        assert warm.jit_cache_hits == 1
-        assert warm.jit_cache_misses == 0
+        assert warm.metrics.counter(events.JIT_CACHE_HIT) == 1
+        assert warm.metrics.counter(events.JIT_CACHE_MISS) == 0
 
     def test_cached_artifact_is_shared(self):
         module = parse_module(LOOP)
@@ -121,7 +122,8 @@ class TestCodeCache:
         engine.invalidate(func)
         assert func.code_version != before
         assert engine.run("sumto", 5) == 15
-        assert engine.jit_cache_misses == 2  # recompiled, not reused
+        # recompiled, not reused
+        assert engine.metrics.counter(events.JIT_CACHE_MISS) == 2
 
     def test_modifying_pass_invalidates_artifact(self):
         from repro.transform import PassManager
@@ -172,12 +174,12 @@ class TestTierUp:
         engine, module = _engine(LOOP, tier="tiered", call_threshold=4)
         for _ in range(3):
             assert engine.run("sumto", 5) == 15
-        assert engine.tier_promotions == 0
+        assert engine.metrics.counter(events.TIER_PROMOTE) == 0
         assert engine.run("sumto", 5) == 15
-        assert engine.tier_promotions == 1
+        assert engine.metrics.counter(events.TIER_PROMOTE) == 1
         # further calls stay on the promoted path
         assert engine.run("sumto", 5) == 15
-        assert engine.tier_promotions == 1
+        assert engine.metrics.counter(events.TIER_PROMOTE) == 1
 
     def test_promotion_via_hot_backedges(self):
         engine, module = _engine(
@@ -186,19 +188,20 @@ class TestTierUp:
         assert engine.run("sumto", 200) == sum(range(201))
         # the loop ran hot: the next call promotes
         assert engine.run("sumto", 5) == 15
-        assert engine.tier_promotions == 1
+        assert engine.metrics.counter(events.TIER_PROMOTE) == 1
 
     def test_invalidate_demotes(self):
         engine, module = _engine(LOOP, tier="tiered", call_threshold=2)
         func = module.get_function("sumto")
         for _ in range(3):
             engine.run("sumto", 5)
-        assert engine.tier_promotions == 1
+        assert engine.metrics.counter(events.TIER_PROMOTE) == 1
         engine.invalidate(func)
         assert not engine.profiler.profile_for("sumto").promoted
         for _ in range(3):
             assert engine.run("sumto", 5) == 15
-        assert engine.tier_promotions == 2  # re-promoted after demotion
+        # re-promoted after demotion
+        assert engine.metrics.counter(events.TIER_PROMOTE) == 2
 
     def test_stats_snapshot_shape(self):
         engine, module = _engine(LOOP, tier="tiered", call_threshold=2)

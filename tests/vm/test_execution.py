@@ -416,9 +416,10 @@ entry:
 """
         module = parse_module(src)
         engine = ExecutionEngine(module, tier="jit")
-        assert engine.compile_count == 0
+        assert engine.metrics.counter("engine.compile") == 0
         engine.run("b")
-        assert engine.compile_count == 2  # b then a, on first call
+        # b then a, on first call
+        assert engine.metrics.counter("engine.compile") == 2
 
     def test_invalidate_recompiles(self):
         src = """
